@@ -8,13 +8,15 @@ every finite-state Table-1 problem under both backends:
 
 * ``python`` — the scalar dict-of-dicts reference path,
 * ``numpy``  — the dense kernels of :mod:`repro.dp.kernels` (hole batching,
-  level-scheduled cross-cluster batching, affine finalize decomposition).
+  level-scheduled cross-cluster batching, affine finalize and transition
+  decompositions).
 
 Besides the speedups, the harness asserts that both backends return
 bit-identical objective values and edge labels on every problem, and writes
 ``BENCH_kernels.json`` so CI tracks the numbers per PR.
 """
 
+import random
 import time
 
 from repro.core.pipeline import prepare, solve_on
@@ -52,10 +54,21 @@ PROBLEMS = [
 ]
 
 
+def _weighted(tree, seed):
+    """Distinct node weights and distinct edge weights on ``tree``.
+
+    Node weights feed the vertex problems, edge weights maximum-weight
+    matching; without the edge weights matching would solve its unweighted
+    (maximum-cardinality) case and never exercise a per-edge payload.
+    """
+    t = gen.with_random_weights(tree, seed=seed)
+    rng = random.Random(seed ^ 0x5EED)
+    t.edge_data = {e: round(rng.uniform(0.5, 5.0), 3) for e in t.edges()}
+    return t
+
+
 def _sat_payload(tree, seed):
     """Per-node unit clauses and per-edge binary clauses (the SAT input)."""
-    import random
-
     rng = random.Random(seed)
     node_data = {
         v: {"clauses": [(rng.random() < 0.5, round(rng.uniform(0, 5), 2))]}
@@ -71,9 +84,10 @@ def _sat_payload(tree, seed):
 
 def _measure():
     # Each problem runs on its natural input (as in the Table-1 registry):
-    # weighted random trees for the optimisation problems, a clause-decorated
-    # tree for max-SAT.  Both clusterings are prepared outside the timed
-    # phase — the clustering is backend-independent and reused.
+    # node- and edge-weighted random trees for the optimisation problems, a
+    # clause-decorated tree for max-SAT.  Both clusterings are prepared
+    # outside the timed phase — the clustering is backend-independent and
+    # reused.
     #
     # Noise model: scheduler/load swings on a shared box are additive, so
     # each backend's *minimum* over the repeats estimates its clean-machine
@@ -81,7 +95,7 @@ def _measure():
     # python, numpy, ...) so both sample the same wall-clock window and one
     # backend cannot land entirely inside a loaded burst the other missed.
     base = gen.random_attachment_tree(N, seed=SEED)
-    prepared = prepare(gen.with_random_weights(base, seed=SEED))
+    prepared = prepare(_weighted(base, SEED))
     prepared_sat = prepare(_sat_payload(base, SEED))
     rows = []
     totals = {"python": 0.0, "numpy": 0.0}

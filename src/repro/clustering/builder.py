@@ -130,8 +130,14 @@ class ClusteringBuilder:
         # elements grouped by their uncolored parent, each group kept in
         # repr-sorted order.  They replace the full rescans and the
         # rebuild-and-sort of _colored_children_map() that earlier versions
-        # performed on every construction step.
-        self.uncolored: Set[Element] = set(self.elements)
+        # performed on every construction step.  The uncolored set is a dict
+        # used as an insertion-ordered set: every step iterates it, and a
+        # plain set of ("node", v) tuples would order that iteration by
+        # string hashes, so cluster contents and ids would change with
+        # PYTHONHASHSEED from one interpreter run to the next.
+        self.uncolored: Dict[Element, None] = dict.fromkeys(
+            node_element(v) for v in tree.nodes()
+        )
         self.colored_children: Dict[Element, List[Element]] = {}
 
         # --- outputs ------------------------------------------------------ #
@@ -441,7 +447,7 @@ class ClusteringBuilder:
             del self.parent_elem[e]
             self.elements.discard(e)
             self.colored.discard(e)
-            self.uncolored.discard(e)
+            self.uncolored.pop(e, None)
         for u in uncolored_members:
             # Every colored child of an absorbed element is absorbed with it.
             self.colored_children.pop(u, None)
@@ -467,7 +473,7 @@ class ClusteringBuilder:
                 siblings = self.colored_children.setdefault(parent, [])
                 bisect.insort(siblings, ce, key=repr)
         else:
-            self.uncolored.add(ce)
+            self.uncolored[ce] = None
         return cid
 
 

@@ -436,7 +436,16 @@ class FiniteStateDP(abc.ABC):
         return None
 
     def transition_key(self, v: NodeInput, edge: EdgeInfo) -> Optional[Hashable]:
-        """Cache key of ``transition``'s dense tensor for ``(v, edge)``."""
+        """Cache key of ``transition``'s dense tensor for ``(v, edge)``.
+
+        The key also groups nodes in the dense backend's level schedule:
+        nodes whose children's edges carry different keys land in different
+        stacked groups.  A payload float inside the key (an edge weight, a
+        clause weight) with no :meth:`transition_affine_key` declared
+        therefore splits each level into one group — and one enumeration —
+        per distinct value, which on distinctly weighted trees degrades to
+        per-node solves; declare the affine decomposition instead.
+        """
         return None
 
     def finalize_key(self, v: NodeInput) -> Optional[Hashable]:

@@ -13,6 +13,13 @@ Degree reduction: auxiliary edges cannot be matched themselves; an auxiliary
 node in state ``matched-up`` means "one original child below me is matched to
 the original parent", so the credit and the exclusivity propagate through the
 auxiliary tree to the original node.
+
+The matched-child gain is the edge weight itself, declared as an affine
+decomposition (``transition_affine_key``), so the dense backend builds every
+original edge's transition tensor as ``base + w * mask`` from one set of probe
+tensors and distinctly weighted edges stay in the grouped array program.  Edge
+weights must be finite: on the dense backend a NaN or infinite weight raises
+``FloatingPointError`` instead of yielding a ``nan`` value.
 """
 
 from __future__ import annotations
@@ -46,6 +53,19 @@ class MaxWeightMatching(FiniteStateDP):
     def transition_key(self, v: NodeInput, edge: EdgeInfo):
         # The matched-child gain reads the edge weight, so it is part of the key.
         return True if edge.is_auxiliary else (False, edge.weight(1.0))
+
+    # -- affine edge-weight decomposition --------------------------------- #
+    # Which (acc, child_state) cells are feasible does not depend on the
+    # weight, so every non-auxiliary edge shares one structural key and the
+    # per-edge data collapses to the single weight.
+
+    def transition_affine_key(self, v: NodeInput, edge: EdgeInfo):
+        if edge.is_auxiliary:
+            return None  # zero gain; the plain transition_key cache handles it
+        return ("mwm-edge",), (edge.weight(1.0),)
+
+    def transition_affine_probe(self, v: NodeInput, edge: EdgeInfo, weights):
+        return v, EdgeInfo(edge=edge.edge, kind=edge.kind, data=weights[0])
 
     def finalize_key(self, v: NodeInput):
         return (v.is_auxiliary,)

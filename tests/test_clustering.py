@@ -1,6 +1,12 @@
 """Tests of degree reduction and the hierarchical clustering (Section 4)."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,3 +158,58 @@ def test_clustering_invariants_on_random_trees(raw, delta):
     red = reduce_degrees(tree, threshold=sim.config.light_threshold())
     hc = build_hierarchical_clustering(sim, red.tree)
     check_clustering(hc)
+
+
+# The pipeline benchmark's clustering fingerprint (every cluster's kind,
+# layer, members and boundary, the layers and the round counts) plus the MWM
+# value on top (which sums cluster summaries in cluster order), computed in a
+# fresh interpreter.  The tree mixes a random attachment part with a star that
+# degree reduction splits, so both ("node", v) and auxiliary elements take
+# part.
+_FINGERPRINT_SCRIPT = textwrap.dedent(
+    """
+    from benchmarks.bench_pipeline import _clustering_fingerprint
+    from repro.core.pipeline import prepare, solve_on
+    from repro.problems.max_weight_matching import MaxWeightMatching
+    from repro.trees import generators as gen
+    from repro.trees.tree import RootedTree
+
+    base = gen.random_attachment_tree(1500, seed=4)
+    parent = dict(base.parent)
+    for v in range(1500, 1800):
+        parent[v] = 7
+    shape = RootedTree.from_parent_map(parent, root=base.root)
+    weights = {(c, p): 0.5 + (37 * c + p) % 97 / 7 for c, p in shape.edges()}
+    prepared = prepare(RootedTree(root=shape.root, parent=parent, edge_data=weights))
+    print(repr(_clustering_fingerprint(prepared)))
+    print(repr(solve_on(prepared, MaxWeightMatching()).value))
+    """
+)
+
+
+def _fingerprint_under_hash_seed(seed: str) -> str:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _FINGERPRINT_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    # A digest keeps a mismatch report short: the fingerprint repr is large.
+    return hashlib.sha256(proc.stdout.encode()).hexdigest()
+
+
+def test_prepare_is_independent_of_the_hash_seed():
+    """prepare() builds the same clustering in every interpreter run.
+
+    Element sets hold ("node", v) tuples, whose hashes change with
+    PYTHONHASHSEED; iterating such a set to assign cluster contents and ids
+    would make the clustering, the round count and the float summation
+    order of every solve differ between runs of the same input.
+    """
+    assert _fingerprint_under_hash_seed("0") == _fingerprint_under_hash_seed("1")

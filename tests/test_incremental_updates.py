@@ -28,10 +28,12 @@ from repro.dp.local_solver import backend_ineligibility
 from repro.dp.problem import FiniteStateDP
 from repro.dynamic import IncrementalSolver, PointUpdate, edge_update, node_update
 from repro.problems.max_weight_independent_set import MaxWeightIndependentSet
+from repro.problems.max_weight_matching import MaxWeightMatching
 from repro.problems.registry import table1_entries
 from repro.problems.weighted_max_sat import WeightedMaxSAT
 from repro.problems.xml_validation import XMLStructureValidation
 from repro.trees import generators as gen
+from repro.trees.tree import RootedTree
 
 from tests.conftest import FAMILIES
 
@@ -335,8 +337,8 @@ def test_weight_update_recomposes_tensors_without_reenumeration():
 
     The dense backend must not re-enumerate the problem's scalar rules for
     new weights covered by an affine structural key — neither for node
-    weights (finalize affine) nor for max-SAT clause weights (transition
-    affine).
+    weights (finalize affine) nor for max-SAT clause weights and matching
+    edge weights (transition affine).
     """
     tree = _weighted_random_tree(120, 3)
     inc = IncrementalSolver(prepare(tree, backend="numpy"), MaxWeightIndependentSet())
@@ -357,6 +359,28 @@ def test_weight_update_recomposes_tensors_without_reenumeration():
     assert sat_stats["transition_enumerations"] == before["transition_enumerations"]
     assert sat_stats["finalize_enumerations"] == before["finalize_enumerations"]
     assert sat_stats["affine_composes"] > before["affine_composes"]
+
+    # Matching edge weights: the matched-child gain is affine in the weight.
+    shape = gen.random_attachment_tree(120, seed=9)
+    mwm_tree = RootedTree(
+        root=shape.root,
+        parent=dict(shape.parent),
+        edge_data={e: 0.5 + i / 16 for i, e in enumerate(shape.edges())},
+    )
+    inc_mwm = IncrementalSolver(prepare(mwm_tree, backend="numpy"), MaxWeightMatching())
+    mwm_stats = inc_mwm.solver._dense.tensors.stats
+    before = dict(mwm_stats)
+    inc_mwm.apply_updates([edge_update(mwm_tree.edges()[11], 42.375)])
+    assert mwm_stats["transition_enumerations"] == before["transition_enumerations"]
+    assert mwm_stats["finalize_enumerations"] == before["finalize_enumerations"]
+    assert mwm_stats["affine_composes"] > before["affine_composes"]
+    got = inc_mwm.as_pipeline_result()
+    ref = solve(mwm_tree, MaxWeightMatching(), backend="numpy")
+    assert (got.value, got.root_label, got.edge_labels) == (
+        ref.value,
+        ref.root_label,
+        ref.edge_labels,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -442,8 +466,6 @@ def test_refresh_releases_solver_memos():
     a stream of distinct edge-weight updates grows the transition cache by
     one tensor per distinct weight — the unbounded-serving scenario.
     """
-    from repro.problems.max_weight_matching import MaxWeightMatching
-
     tree = gen.random_attachment_tree(90, seed=21)
     tree.edge_data = {e: 1.0 for e in tree.edges()}
     inc = IncrementalSolver(prepare(tree, backend="numpy"), MaxWeightMatching())
@@ -486,8 +508,6 @@ def test_degree_reduced_edge_updates_address_original_edges():
     """Edge updates name original-tree edges even when rerouted through aux."""
     tree = gen.star_tree(150)
     tree.edge_data = {e: 1.0 for e in tree.edges()}
-    from repro.problems.max_weight_matching import MaxWeightMatching
-
     inc = IncrementalSolver(prepare(tree), MaxWeightMatching())
     assert not inc.prepared.reduction.is_identity
     rng = random.Random(9)

@@ -1,5 +1,7 @@
 """Unit tests for the vectorized kernel subsystem (repro.dp.kernels)."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,12 @@ from repro.mpc.config import MPCConfig
 from repro.problems.counting_matchings import CountMatchingsModK
 from repro.problems.edge_coloring import EdgeColoring
 from repro.problems.max_weight_independent_set import MaxWeightIndependentSet
+from repro.problems.max_weight_matching import MaxWeightMatching
 from repro.problems.min_weight_dominating_set import MinWeightDominatingSet
+from repro.problems.registry import table1_entries
 from repro.problems.sum_coloring import SumColoring
 from repro.trees import generators as gen
+from repro.trees.tree import RootedTree
 
 from tests.conftest import FAMILIES, FAMILY_IDS
 
@@ -179,3 +184,72 @@ def test_backends_identical_across_families(family, builder, make_problem):
     assert res_py.value == res_np.value
     assert res_py.edge_labels == res_np.edge_labels
     assert res_py.node_labels == res_np.node_labels
+
+
+#: Every tropical finite-state Table-1 problem on the dense backend.
+TROPICAL_ENTRIES = [
+    e
+    for e in table1_entries()
+    if isinstance(e.make_problem(), FiniteStateDP)
+    and backend_ineligibility(e.make_problem()) is None
+    and e.make_problem().semiring in (MIN_PLUS, MAX_PLUS)
+]
+
+
+def _distinctly_weighted_tree(n: int, seed: int) -> RootedTree:
+    """An attachment tree whose every node and edge payload is distinct.
+
+    Each payload carries a distinct ``weight`` (node weights, matching edge
+    weights) and a distinctly weighted clause (max-SAT), so a problem that
+    keys a rule cache on a payload value sees a new key at every node.
+    """
+    shape = gen.random_attachment_tree(n, seed=seed)
+    rng = random.Random(seed)
+    node_data = {
+        v: {
+            "weight": round(rng.uniform(0.5, 9.5), 6),
+            "clauses": [(rng.random() < 0.5, round(rng.uniform(0.5, 5.0), 6))],
+        }
+        for v in shape.nodes()
+    }
+    edge_data = {
+        e: {
+            "weight": round(rng.uniform(0.5, 5.0), 6),
+            "clauses": [
+                (rng.random() < 0.5, rng.random() < 0.5, round(rng.uniform(0.5, 5.0), 6))
+            ],
+        }
+        for e in shape.edges()
+    }
+    return RootedTree(
+        root=shape.root, parent=dict(shape.parent), node_data=node_data, edge_data=edge_data
+    )
+
+
+@pytest.mark.parametrize("entry", TROPICAL_ENTRIES, ids=[e.name for e in TROPICAL_ENTRIES])
+def test_rule_enumerations_do_not_grow_with_n(entry):
+    """Scalar rule enumerations are paid per rule structure, not per node.
+
+    A tropical problem whose transition or finalize reads a payload float
+    must declare that dependence as an affine decomposition; putting the
+    float into a plain cache key instead makes one enumeration per distinct
+    value, so the count would grow with the tree.
+    """
+    counts = []
+    for n in (500, 2000):
+        solver = FiniteStateClusterSolver(entry.make_problem(), backend="numpy")
+        solve_on(prepare(_distinctly_weighted_tree(n, 3)), solver)
+        stats = solver._dense.cache_stats()
+        counts.append((stats["transition_enumerations"], stats["finalize_enumerations"]))
+    assert counts[0] == counts[1], f"{entry.name}: enumerations {counts[0]} -> {counts[1]}"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_matching_edge_weight_raises(bad):
+    """A NaN or infinite edge weight is refused, not turned into value=nan."""
+    tree = gen.random_attachment_tree(200, seed=5)
+    weights = {e: 1.0 + (i % 7) / 4 for i, e in enumerate(tree.edges())}
+    weights[tree.edges()[40]] = bad
+    tree = RootedTree(root=tree.root, parent=dict(tree.parent), edge_data=weights)
+    with pytest.raises(FloatingPointError, match="non-finite affine weight"):
+        solve_on(prepare(tree), MaxWeightMatching())

@@ -187,7 +187,7 @@ def test_builder_incremental_maps_match_reference_scan():
 
     def checked_make(*args, **kwargs):
         cid = orig_make(*args, **kwargs)
-        assert builder.uncolored == {
+        assert set(builder.uncolored) == {
             e for e in builder.elements if e not in builder.colored
         }
         # The rescan lists the final cluster element as its own colored child
@@ -203,7 +203,7 @@ def test_builder_incremental_maps_match_reference_scan():
 
     builder._make_cluster = checked_make
     builder.build()
-    assert builder.uncolored == set()
+    assert not builder.uncolored
 
 
 # --------------------------------------------------------------------------- #
